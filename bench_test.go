@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // benchScale keeps 'go test -bench=.' tractable; see EXPERIMENTS.md
@@ -130,7 +131,10 @@ func BenchmarkAppCSmallParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				got, err := w.RunParallel(sys, q, workers)
+				serial := w.Parallelism
+				w.Parallelism = workers
+				defer func() { w.Parallelism = serial }()
+				got, err := w.Run(sys, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -145,7 +149,7 @@ func BenchmarkAppCSmallParallel(b *testing.B) {
 				var nodes int
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ids, err := w.RunParallel(sys, q, workers)
+					ids, err := w.Run(sys, q)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -205,7 +209,7 @@ func BenchmarkAblatePathFilter(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Aware.DB.Run(trans.Stmt); err != nil {
+					if _, err := w.Aware.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -234,7 +238,7 @@ func BenchmarkAblateFKJoin(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Aware.DB.Run(trans.Stmt); err != nil {
+					if _, err := w.Aware.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}

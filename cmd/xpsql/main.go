@@ -172,7 +172,7 @@ func run(schemaPath string, useXSD bool, mapping, load string, explain, noOmit, 
 				fmt.Println("--   " + line)
 			}
 		}
-		res, err := db.Run(stmt)
+		res, err := db.RunWithOptions(stmt, engine.ExecOptions{})
 		if err != nil {
 			return err
 		}

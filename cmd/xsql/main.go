@@ -140,13 +140,14 @@ func run(dbDir, schemaPath string, useXSD bool, load string, opts engine.ExecOpt
 			fmt.Fprintf(out, "peak statement memory: %d bytes\n", db.PeakStatementMemory())
 			return
 		}
-		if rest, ok := strings.CutPrefix(line, `\explain `); ok {
-			//xvet:ignore sqltaint -- REPL input: the user's typed SQL is the one legitimate raw source
-			st, err := sqlast.Parse(strings.TrimSpace(rest))
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				return
-			}
+		src, explain := strings.CutPrefix(line, `\explain `)
+		//xvet:ignore sqltaint -- REPL input: the user's typed SQL is the one legitimate raw source
+		st, err := sqlast.Parse(strings.TrimSpace(src))
+		if err != nil {
+			fmt.Fprintln(out, "error:", err)
+			return
+		}
+		if explain {
 			text, err := db.ExplainAnalyzeWithOptions(st, opts)
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
@@ -155,7 +156,7 @@ func run(dbDir, schemaPath string, useXSD bool, load string, opts engine.ExecOpt
 			fmt.Fprint(out, text)
 			return
 		}
-		res, err := db.ExecSQLWithOptions(line, opts)
+		res, err := db.RunWithOptions(st, opts)
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 			return

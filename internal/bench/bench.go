@@ -211,40 +211,19 @@ func (w *Workload) Translate(sys System, q Query) (sqlast.Statement, error) {
 // Run executes a query under a system, returning the selected element
 // ids in document order.
 func (w *Workload) Run(sys System, q Query) ([]int64, error) {
-	return w.RunBudget(sys, q, 0)
-}
-
-// RunBudget is Run with a wall-clock budget for the SQL-based systems
-// (0 means unlimited); engine.ErrTimeout reports an exceeded budget.
-func (w *Workload) RunBudget(sys System, q Query, budget time.Duration) ([]int64, error) {
 	switch sys {
 	case PPF, EdgePPF, Accel:
 		stmt, err := w.Translate(sys, q)
 		if err != nil {
 			return nil, err
 		}
-		return w.runStmt(sys, stmt, budget, w.Parallelism)
+		return w.runStmt(sys, stmt, 0)
 	case Staircase:
 		return w.Stair.EvalString(q.XPath)
 	case Commercial:
 		return w.OracleIDs(q)
 	}
 	return nil, fmt.Errorf("bench: unknown system %q", sys)
-}
-
-// RunParallel is Run with an explicit engine worker count for the
-// SQL-based systems, overriding the workload's Parallelism for this
-// call; non-SQL systems run as usual.
-func (w *Workload) RunParallel(sys System, q Query, workers int) ([]int64, error) {
-	switch sys {
-	case PPF, EdgePPF, Accel:
-		stmt, err := w.Translate(sys, q)
-		if err != nil {
-			return nil, err
-		}
-		return w.runStmt(sys, stmt, 0, workers)
-	}
-	return w.Run(sys, q)
 }
 
 // dbFor returns the engine database a SQL-based system queries, nil
@@ -261,16 +240,25 @@ func (w *Workload) dbFor(sys System) *engine.DB {
 	return nil
 }
 
-// runStmt executes a translated statement on a system's database
-// (through the engine's plan cache) and extracts the node ids.
-func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration, workers int) ([]int64, error) {
-	res, err := w.dbFor(sys).RunWithOptions(stmt, engine.ExecOptions{
-		Timeout:        budget,
-		Parallelism:    workers,
+// execOptions returns the engine options carrying the workload's
+// parallelism, resource budgets and batch size.
+func (w *Workload) execOptions() engine.ExecOptions {
+	return engine.ExecOptions{
+		Parallelism:    w.Parallelism,
 		MaxMemoryBytes: w.MaxMemoryBytes,
 		MaxRows:        w.MaxRows,
 		BatchSize:      w.BatchSize,
-	})
+	}
+}
+
+// runStmt executes a translated statement on a system's database
+// (through the engine's plan cache) and extracts the node ids. budget
+// is a wall-clock limit (0 means unlimited); engine.ErrTimeout reports
+// an exceeded budget.
+func (w *Workload) runStmt(sys System, stmt sqlast.Statement, budget time.Duration) ([]int64, error) {
+	opts := w.execOptions()
+	opts.Timeout = budget
+	res, err := w.dbFor(sys).RunWithOptions(stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -440,9 +428,9 @@ func (w *Workload) Measure(sys System, q Query, reps int, budget time.Duration) 
 		var ids []int64
 		var err error
 		if stmt != nil {
-			ids, err = w.runStmt(sys, stmt, budget, w.Parallelism)
+			ids, err = w.runStmt(sys, stmt, budget)
 		} else {
-			ids, err = w.RunBudget(sys, q, budget)
+			ids, err = w.Run(sys, q)
 		}
 		return len(ids), time.Since(start), err
 	}

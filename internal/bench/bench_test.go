@@ -108,13 +108,14 @@ func TestParallelAgreesWithOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Parallelism = 4
 	for _, q := range w.Queries {
 		want, err := w.OracleIDs(q)
 		if err != nil {
 			t.Fatalf("oracle %s: %v", q.ID, err)
 		}
 		for _, sys := range []System{PPF, EdgePPF, Accel} {
-			got, err := w.RunParallel(sys, q, 4)
+			got, err := w.Run(sys, q)
 			if err != nil {
 				t.Errorf("%s on %s (parallel): %v", sys, q.ID, err)
 				continue

@@ -49,7 +49,7 @@ func verifyRecovered(t *testing.T, w *Workload, db *engine.DB) {
 		if err != nil {
 			t.Fatalf("translate %s: %v", q.ID, err)
 		}
-		res, err := db.Run(x.Stmt)
+		res, err := db.RunWithOptions(x.Stmt, engine.ExecOptions{})
 		if err != nil {
 			t.Fatalf("recovered store %s: %v", q.ID, err)
 		}
@@ -244,7 +244,7 @@ func TestConcurrentLoadAndFig3Queries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := base.Run(x.Stmt)
+				res, err := base.RunWithOptions(x.Stmt, engine.ExecOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,7 +291,7 @@ func TestConcurrentLoadAndFig3Queries(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := db.Run(stmt.Stmt)
+				res, err := db.RunWithOptions(stmt.Stmt, engine.ExecOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -316,7 +316,7 @@ func TestConcurrentLoadAndFig3Queries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := db.Run(x.Stmt)
+		res, err := db.RunWithOptions(x.Stmt, engine.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

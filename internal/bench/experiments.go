@@ -283,12 +283,7 @@ func (w *Workload) explainCheckRow(q Query) ([]string, error) {
 			return nil, fmt.Errorf("%s %s: translate: %w", sys, q.ID, err)
 		}
 		db := w.dbFor(sys)
-		plan, err := db.ExplainAnalyzeWithOptions(stmt, engine.ExecOptions{
-			Parallelism:    w.Parallelism,
-			MaxMemoryBytes: w.MaxMemoryBytes,
-			MaxRows:        w.MaxRows,
-			BatchSize:      w.BatchSize,
-		})
+		plan, err := db.ExplainAnalyzeWithOptions(stmt, w.execOptions())
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: explain analyze: %w", sys, q.ID, err)
 		}
@@ -361,7 +356,7 @@ func (w *Workload) measureStmt(db *engine.DB, st sqlast.Statement, o Opts) time.
 	}
 	for i := 0; i < reps; i++ {
 		start := time.Now()
-		if _, err := db.Run(st); err != nil {
+		if _, err := db.RunWithOptions(st, engine.ExecOptions{}); err != nil {
 			return 0
 		}
 		total += time.Since(start)

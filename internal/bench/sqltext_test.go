@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sqlast"
 )
 
@@ -40,11 +41,11 @@ func TestRenderedSQLIsExecutableText(t *testing.T) {
 				case Accel:
 					db = w.AccelS.DB
 				}
-				r1, err := db.Run(stmt)
+				r1, err := db.RunWithOptions(stmt, engine.ExecOptions{})
 				if err != nil {
 					t.Fatalf("%s %s: %v", sys, q.ID, err)
 				}
-				r2, err := db.Run(reparsed)
+				r2, err := db.RunWithOptions(reparsed, engine.ExecOptions{})
 				if err != nil {
 					t.Errorf("%s %s: reparsed SQL fails to run: %v", sys, q.ID, err)
 					continue

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/shred"
 )
@@ -28,7 +29,7 @@ func checkEdge(t *testing.T, tr *EdgeTranslator, st *shred.EdgeStore, ev *native
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", q, err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/xmltree"
 )
 
@@ -26,7 +28,7 @@ func TestMultiDocDeweyIsolation(t *testing.T) {
 
 	// Without re-rooting, every F would appear as a descendant of BOTH
 	// A roots (their Dewey ranges coincide); with it, 2 per document.
-	res, err := st.DB.RunSQL(
+	res, err := runSQL(st.DB,
 		"SELECT A.id, F.id FROM A, F WHERE F.dewey_pos BETWEEN A.dewey_pos AND A.dewey_pos || X'FF' ORDER BY A.id, F.id")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +53,7 @@ func TestMultiDocDeweyIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := st.DB.Run(trans.Stmt)
+	out, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestMultiDocEdgeIsolation(t *testing.T) {
 	doc := paperDoc(t)
 	st.Load(doc)
 	st.Load(doc)
-	res, err := st.DB.RunSQL(
+	res, err := runSQL(st.DB,
 		"SELECT COUNT(*) FROM edge a, edge d WHERE a.par IS NULL AND d.dewey_pos BETWEEN a.dewey_pos AND a.dewey_pos || X'FF'")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +102,7 @@ func TestMultiDocDifferentShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +113,20 @@ func TestMultiDocDifferentShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = st.DB.Run(trans.Stmt)
+	res, err = st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 { // one in each document
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
+}
+
+// runSQL parses a statement and runs it with default options.
+func runSQL(db *engine.DB, sql string) (*engine.Result, error) {
+	st, err := sqlast.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.RunWithOptions(st, engine.ExecOptions{})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/schema"
 	"repro/internal/shred"
@@ -216,7 +217,7 @@ func TestRecursiveFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("edge translate %q: %v", q, err)
 			}
-			res, err := edge.DB.Run(trans.Stmt)
+			res, err := edge.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 			if err != nil {
 				t.Fatalf("edge run %q: %v", q, err)
 			}
@@ -232,7 +233,7 @@ func TestRecursiveFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("accel translate %q: %v", q, err)
 			}
-			resX, err := accelStore.DB.Run(transX.Stmt)
+			resX, err := accelStore.DB.RunWithOptions(transX.Stmt, engine.ExecOptions{})
 			if err != nil {
 				t.Fatalf("accel run %q: %v", q, err)
 			}

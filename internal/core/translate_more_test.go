@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/schema"
 	"repro/internal/shred"
@@ -160,7 +161,7 @@ func TestUnionWithEmptyBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestStaticPredicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

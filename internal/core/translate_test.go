@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/native"
 	"repro/internal/schema"
 	"repro/internal/shred"
@@ -48,7 +49,7 @@ func runQuery(t testing.TB, tr *Translator, st *shred.SchemaAwareStore, q string
 	if err != nil {
 		t.Fatalf("Translate(%q): %v", q, err)
 	}
-	res, err := st.DB.Run(trans.Stmt)
+	res, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 	if err != nil {
 		t.Fatalf("Run(%q = %s): %v", q, trans.SQL, err)
 	}
@@ -277,7 +278,7 @@ func TestStaticallyEmptyQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Translate(%q): %v", q, err)
 		}
-		res, err := st.DB.Run(trans.Stmt)
+		res, err := st.DB.RunWithOptions(trans.Stmt, engine.ExecOptions{})
 		if err != nil {
 			t.Fatalf("Run(%q): %v", q, err)
 		}

@@ -67,10 +67,10 @@ func TestBatchSizeInvariance(t *testing.T) {
 		// Warm-up: caches the plan, builds hash-join sides, and fills
 		// the pattern cache, so every measured run below does the same
 		// work and the frames are comparable.
-		if _, err := db.Run(st); err != nil {
+		if _, err := db.RunWithOptions(st, ExecOptions{}); err != nil {
 			t.Fatalf("%s: warm-up: %v", q, err)
 		}
-		cs, err := db.compiledFor(st, "")
+		cs, err := db.compiledFor(st, sqlast.Render(st))
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -123,7 +123,7 @@ func TestGovernorBatchInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Run(st); err != nil {
+	if _, err := db.RunWithOptions(st, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	limits := []struct {
@@ -172,7 +172,7 @@ func TestChaosBatchFlush(t *testing.T) {
 			t.Fatalf("%s: %v", q, err)
 		}
 		stmts[i] = st
-		res, err := db.Run(st)
+		res, err := db.RunWithOptions(st, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", q, err)
 		}
@@ -236,7 +236,7 @@ func TestBatchSizeOptionPlumbs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := db.RunWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -74,7 +75,7 @@ func TestChaosMatrix(t *testing.T) {
 		stmts[i] = st
 		// Baseline run: caches the plan and builds hash sides, so the
 		// faulted runs below exercise the executor, not the planner.
-		res, err := db.Run(st)
+		res, err := db.RunWithOptions(st, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", q, err)
 		}
@@ -141,7 +142,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := db.RunWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestChaosMorselClaimPanic(t *testing.T) {
 	if err := failpoint.Enable("engine/morsel-claim", failpoint.Panic("worker down")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Run(st)
+	res, err := db.RunWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatalf("serial run with morsel-claim armed: %v", err)
 	}
@@ -224,14 +225,14 @@ func TestChaosPatternCompile(t *testing.T) {
 	if err := failpoint.Enable("engine/pattern-compile", failpoint.Return(nil)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.RunSQL(q)
+	_, err := runSQL(db, q)
 	failpoint.Reset()
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	// The failed compile must not have cached anything for the
 	// pattern; with the fault cleared the query runs.
-	res, err := db.RunSQL(q)
+	res, err := runSQL(db, q)
 	if err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
@@ -251,7 +252,7 @@ func TestChaosPlanCacheInsert(t *testing.T) {
 	if err := failpoint.Enable("engine/plancache-insert", failpoint.Return(nil)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := db.RunSQL(q)
+	_, err := runSQL(db, q)
 	failpoint.Reset()
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -259,11 +260,105 @@ func TestChaosPlanCacheInsert(t *testing.T) {
 	if got := db.PlanCacheSize(); got != sizeBefore {
 		t.Errorf("plan cache grew across failed insert: %d -> %d", sizeBefore, got)
 	}
-	if _, err := db.RunSQL(q); err != nil {
+	if _, err := runSQL(db, q); err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
 	if got := db.PlanCacheSize(); got != sizeBefore+1 {
 		t.Errorf("plan cache size = %d after clean run, want %d", got, sizeBefore+1)
+	}
+}
+
+// TestChaosPlanShapePanic injects a panic into planning under
+// PlanShape: like every other compile entry point it must return
+// *InternalError instead of propagating the panic, and the DB must
+// answer the same query afterwards.
+func TestChaosPlanShapePanic(t *testing.T) {
+	db := bigDB(t)
+	defer failpoint.Reset()
+	st, err := sqlast.Parse("SELECT i.id FROM item i WHERE i.val = 78 ORDER BY i.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable("engine/plancache-insert", failpoint.Panic("planner down")); err != nil {
+		t.Fatal(err)
+	}
+	_, err = db.PlanShape(st)
+	failpoint.Reset()
+	var ie *InternalError
+	if !errors.As(err, &ie) {
+		t.Fatalf("PlanShape err = %v, want *InternalError", err)
+	}
+	if _, err := db.PlanShape(st); err != nil {
+		t.Fatalf("post-panic PlanShape: %v", err)
+	}
+	res, err := db.RunWithOptions(st, ExecOptions{})
+	if err != nil {
+		t.Fatalf("post-panic run: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Error("post-panic run returned no rows")
+	}
+}
+
+// TestChaosVerifyPlanEveryEntryPoint checks that ExecOptions.VerifyPlan
+// is honoured by every entry point that takes ExecOptions, for every
+// statement kind that plans: an accepting verifier is consulted and
+// the statement succeeds, a rejecting verifier fails it.
+func TestChaosVerifyPlanEveryEntryPoint(t *testing.T) {
+	db := fixtureDB(t)
+	defer SetPlanVerifier(nil)
+	const q = "SELECT F.id FROM F ORDER BY F.id"
+	parse := func(src string) sqlast.Statement {
+		st, err := sqlast.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	verify := ExecOptions{VerifyPlan: true}
+	entries := []struct {
+		name string
+		run  func() error
+	}{
+		{"RunWithOptions", func() error {
+			_, err := db.RunWithOptions(parse(q), verify)
+			return err
+		}},
+		{"RunWithOptionsContext", func() error {
+			_, err := db.RunWithOptionsContext(context.Background(), parse(q), verify)
+			return err
+		}},
+		{"RunWithOptions EXPLAIN", func() error {
+			_, err := db.RunWithOptions(parse("EXPLAIN "+q), verify)
+			return err
+		}},
+		{"RunWithOptions EXPLAIN ANALYZE", func() error {
+			_, err := db.RunWithOptions(parse("EXPLAIN ANALYZE "+q), verify)
+			return err
+		}},
+		{"ExplainAnalyzeWithOptions", func() error {
+			_, err := db.ExplainAnalyzeWithOptions(parse(q), verify)
+			return err
+		}},
+		{"AnalyzeReport", func() error {
+			_, _, err := db.AnalyzeReport(parse(q), verify)
+			return err
+		}},
+	}
+	errReject := errors.New("chaos: plan rejected")
+	for _, e := range entries {
+		calls := 0
+		SetPlanVerifier(func(PlanTrace) error { calls++; return nil })
+		if err := e.run(); err != nil {
+			t.Errorf("%s: accepting verifier: %v", e.name, err)
+		}
+		if calls == 0 {
+			t.Errorf("%s: VerifyPlan set but the verifier was not consulted", e.name)
+		}
+		SetPlanVerifier(func(PlanTrace) error { return errReject })
+		if err := e.run(); !errors.Is(err, errReject) {
+			t.Errorf("%s: rejecting verifier: err = %v, want the rejection", e.name, err)
+		}
 	}
 }
 
@@ -302,7 +397,7 @@ func TestChaosDeadlineObservedAfterHashBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plan (and plan-time hash builds) happen here.
-	if _, err := db.Run(st); err != nil {
+	if _, err := db.RunWithOptions(st, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Drop the cached build sides so execution must rebuild, and
@@ -323,7 +418,7 @@ func TestChaosDeadlineObservedAfterHashBuild(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTimeout observed at the build/probe boundary", err)
 	}
 	// The engine must still answer the query once the stall clears.
-	if _, err := db.Run(st); err != nil {
+	if _, err := db.RunWithOptions(st, ExecOptions{}); err != nil {
 		t.Fatalf("post-fault run: %v", err)
 	}
 }
@@ -338,7 +433,7 @@ func TestBudgetErrorsKeepDBUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := db.RunWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestConcurrentReadQueries(t *testing.T) {
 	}
 	want := make([][][]Value, len(queries))
 	for i, q := range queries {
-		res, err := db.RunSQL(q)
+		res, err := runSQL(db, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestConcurrentReadQueries(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for i, q := range queries {
-					res, err := db.RunSQL(q)
+					res, err := runSQL(db, q)
 					if err != nil {
 						errs <- err
 						return
@@ -82,20 +82,14 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		"SELECT i.id FROM item i WHERE REGEXP_LIKE(i.text, '^1[0-9]*$') ORDER BY i.id",
 	}
 	want := make([]*Result, len(queries))
-	prepared := make([]*Prepared, len(queries))
 	stmts := make([]sqlast.Statement, len(queries))
 	for i, q := range queries {
-		p, err := db.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepared[i] = p
 		st, err := sqlast.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stmts[i] = st
-		res, err := p.Run()
+		res, err := db.RunWithOptions(st, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,15 +103,18 @@ func TestConcurrentParallelQueries(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
 				for i, q := range queries {
-					// Alternate shared-Prepared and ad-hoc execution so both
-					// plan-cache entry points run concurrently.
-					var res *Result
-					var err error
-					if (g+rep)%2 == 0 {
-						res, err = prepared[i].RunWithOptions(ExecOptions{Parallelism: 4})
-					} else {
-						res, err = db.RunWithOptions(stmts[i], ExecOptions{Parallelism: 4})
+					// Alternate one statement tree shared by every goroutine
+					// with a freshly parsed one, so shared and ad-hoc
+					// statements hit the same plan-cache entry concurrently.
+					st := stmts[i]
+					if (g+rep)%2 == 1 {
+						var err error
+						if st, err = sqlast.Parse(q); err != nil {
+							errs <- err
+							return
+						}
 					}
+					res, err := db.RunWithOptions(st, ExecOptions{Parallelism: 4})
 					if err != nil {
 						errs <- err
 						return
@@ -149,7 +146,7 @@ func TestConcurrentBudgetedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Run(st)
+	want, err := db.RunWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,21 +60,28 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestPreparedRunContext checks the prepared-statement entry point
-// honors cancellation too.
-func TestPreparedRunContext(t *testing.T) {
+// TestRunContextAlreadyCancelled checks that a context cancelled
+// before execution starts fails the statement with context.Canceled
+// (on plain runs and on EXPLAIN ANALYZE, which executes too) and that
+// the next statement runs normally.
+func TestRunContextAlreadyCancelled(t *testing.T) {
 	db := bigDB(t)
-	p, err := db.Prepare("SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before execution starts
-	if _, err := p.RunContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := p.RunContext(context.Background()); err != nil {
-		t.Fatalf("post-cancel run: %v", err)
+	cancel()
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val",
+		"EXPLAIN ANALYZE SELECT COUNT(*) FROM item i, item j WHERE i.val < j.val",
+	} {
+		st, err := sqlast.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RunWithOptionsContext(ctx, st, ExecOptions{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", q, err)
+		}
+		if _, err := db.RunWithOptionsContext(context.Background(), st, ExecOptions{}); err != nil {
+			t.Fatalf("%s: post-cancel run: %v", q, err)
+		}
 	}
 }
 

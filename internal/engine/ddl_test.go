@@ -11,7 +11,7 @@ func TestDDLAndInsertViaSQL(t *testing.T) {
 	db := NewDB()
 	mustExec := func(sql string) *Result {
 		t.Helper()
-		res, err := db.ExecSQL(sql)
+		res, err := runSQL(db, sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -51,17 +51,17 @@ func TestDDLErrors(t *testing.T) {
 		"INSERT INTO t (1)",
 		"CREATE VIEW v",
 	} {
-		if _, err := db.ExecSQL(sql); err == nil {
+		if _, err := runSQL(db, sql); err == nil {
 			t.Errorf("ExecSQL(%q) should fail", sql)
 		}
 	}
-	if _, err := db.ExecSQL("CREATE TABLE t (a INT)"); err != nil {
+	if _, err := runSQL(db, "CREATE TABLE t (a INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecSQL("INSERT INTO t VALUES (a)"); err == nil {
+	if _, err := runSQL(db, "INSERT INTO t VALUES (a)"); err == nil {
 		t.Error("non-literal INSERT should fail")
 	}
-	if _, err := db.ExecSQL("INSERT INTO t VALUES ('x')"); err == nil {
+	if _, err := runSQL(db, "INSERT INTO t VALUES ('x')"); err == nil {
 		t.Error("type-mismatched INSERT should fail")
 	}
 }

@@ -87,11 +87,21 @@ func ids(res *Result) []int64 {
 
 func mustRun(t *testing.T, db *DB, sql string) *Result {
 	t.Helper()
-	res, err := db.RunSQL(sql)
+	res, err := runSQL(db, sql)
 	if err != nil {
-		t.Fatalf("RunSQL(%s): %v", sql, err)
+		t.Fatalf("run %s: %v", sql, err)
 	}
 	return res
+}
+
+// runSQL parses a statement and runs it through the statement
+// boundary with default options.
+func runSQL(db *DB, sql string) (*Result, error) {
+	st, err := sqlast.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return db.RunWithOptions(st, ExecOptions{})
 }
 
 func TestSimpleSelect(t *testing.T) {
@@ -333,7 +343,7 @@ func TestErrors(t *testing.T) {
 		"SELECT F.id FROM F UNION SELECT G.id, G.par FROM G",
 		"SELECT F.id FROM F UNION SELECT G.id FROM G ORDER BY 1 + 1",
 	} {
-		if _, err := db.RunSQL(sql); err == nil {
+		if _, err := runSQL(db, sql); err == nil {
 			t.Errorf("RunSQL(%q) should fail", sql)
 		}
 	}
@@ -499,7 +509,7 @@ func BenchmarkDeweyRangeJoin(b *testing.B) {
 	st := sqlast.MustParse("SELECT d.id FROM n p, n d WHERE p.id = 42 AND d.dewey_pos BETWEEN p.dewey_pos AND p.dewey_pos || X'FF' AND d.id <> p.id")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Run(st)
+		res, err := db.RunWithOptions(st, ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -509,11 +519,12 @@ func BenchmarkDeweyRangeJoin(b *testing.B) {
 	}
 }
 
-func ExampleDB_RunSQL() {
+func ExampleDB_RunWithOptions() {
 	db := NewDB()
 	tb, _ := db.CreateTable("t", Column{"id", TInt}, Column{"name", TText})
 	tb.MustInsert(NewInt(1), NewText("ppf"))
-	res, _ := db.RunSQL("SELECT t.name FROM t WHERE t.id = 1")
+	st, _ := sqlast.Parse("SELECT t.name FROM t WHERE t.id = 1")
+	res, _ := db.RunWithOptions(st, ExecOptions{})
 	fmt.Println(res.Rows[0][0])
 	// Output: ppf
 }

@@ -125,40 +125,51 @@ func (ec *execCtx) pattern(pat string) (*matcher, error) {
 	return compilePattern(pat)
 }
 
-// Run plans and executes a SELECT or UNION statement.
-func (db *DB) Run(st sqlast.Statement) (*Result, error) {
-	return db.RunWithOptions(st, ExecOptions{})
-}
-
-// RunWithTimeout is Run with a wall-clock budget; it returns
-// ErrTimeout when the budget is exceeded (0 means no limit).
-func (db *DB) RunWithTimeout(st sqlast.Statement, timeout time.Duration) (*Result, error) {
-	return db.RunWithOptions(st, ExecOptions{Timeout: timeout})
-}
-
-// RunWithOptions plans (through the prepared-plan cache) and executes
-// a SELECT or UNION statement with the given options.
+// RunWithOptions is RunWithOptionsContext without a context.
 func (db *DB) RunWithOptions(st sqlast.Statement, opts ExecOptions) (*Result, error) {
 	return db.RunWithOptionsContext(nil, st, opts)
 }
 
-// RunContext is Run honoring cancellation: execution stops with
-// ctx.Err() soon after ctx is cancelled or its deadline passes.
-func (db *DB) RunContext(ctx context.Context, st sqlast.Statement) (*Result, error) {
-	return db.RunWithOptionsContext(ctx, st, ExecOptions{})
-}
-
-// RunWithOptionsContext plans (through the prepared-plan cache) and
-// executes a SELECT or UNION statement with the given options,
-// honoring ctx cancellation (nil means no context). It is the
-// statement boundary: an internal panic anywhere in planning or
-// execution returns as *InternalError instead of propagating.
+// RunWithOptionsContext executes any statement of the dialect with
+// the given options, honoring ctx cancellation (nil means no context).
+// SELECT and UNION return rows; EXPLAIN [ANALYZE] returns the rendered
+// plan, one row per line; CREATE TABLE, CREATE INDEX and INSERT mutate
+// the database and return a single status row (opts does not apply to
+// them). It is the statement boundary: an internal panic anywhere in
+// planning or execution returns as *InternalError instead of
+// propagating.
 func (db *DB) RunWithOptionsContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (res *Result, err error) {
+	// Writes dispatch before the panic guard on purpose: a panic while
+	// publishing a table or logging to the WAL may leave the database
+	// half-mutated, so it stops the process (fail-stop) instead of
+	// returning an error the caller could ignore and keep serving from.
+	switch st.(type) {
+	case *sqlast.CreateTable, *sqlast.CreateIndex, *sqlast.Insert:
+		return db.execWrite(st)
+	}
+	// EXPLAIN plans (and under ANALYZE runs) the statement it wraps.
+	ex, explain := st.(*sqlast.Explain)
+	if explain {
+		st = ex.Stmt
+	}
 	key := sqlast.Render(st)
 	defer guardPanics(key, &err)
-	if ex, ok := st.(*sqlast.Explain); ok {
-		return db.runExplainStmt(ctx, ex, opts)
+	cs, err := db.compile(st, key, opts)
+	if err != nil {
+		return nil, err
 	}
+	if explain {
+		return db.explainResult(ctx, ex.Analyze, cs, opts, key)
+	}
+	res, _, err = db.runCompiledFrame(ctx, cs, opts, key, false)
+	return res, err
+}
+
+// compile is the prologue every read entry point shares: it plans st
+// through the plan cache and, when opts.VerifyPlan is set, checks the
+// plan with the installed verifier. key is sqlast.Render(st); callers
+// must have deferred guardPanics with it.
+func (db *DB) compile(st sqlast.Statement, key string, opts ExecOptions) (*compiledStmt, error) {
 	cs, err := db.compiledFor(st, key)
 	if err != nil {
 		return nil, err
@@ -168,21 +179,16 @@ func (db *DB) RunWithOptionsContext(ctx context.Context, st sqlast.Statement, op
 			return nil, err
 		}
 	}
-	return db.runCompiled(ctx, cs, opts, key)
+	return cs, nil
 }
 
-// runCompiled executes an already-compiled statement. Callers must
-// have deferred guardPanics; sql is the rendered statement text
-// carried into worker-side InternalErrors.
-func (db *DB) runCompiled(ctx context.Context, cs *compiledStmt, opts ExecOptions, sql string) (*Result, error) {
-	res, _, err := db.runCompiledFrame(ctx, cs, opts, sql, false)
-	return res, err
-}
-
-// runCompiledFrame is runCompiled exposing the execution's operator
-// stats frame (merged across workers). timing enables per-operator
-// wall-clock measurement; EXPLAIN ANALYZE is its only caller with
-// timing on, so plain runs stay clock-free in the row loops.
+// runCompiledFrame executes an already-compiled statement and returns
+// its result with the execution's operator stats frame (merged across
+// workers). Callers must have deferred guardPanics; sql is the
+// rendered statement text carried into worker-side InternalErrors.
+// timing enables per-operator wall-clock measurement; EXPLAIN ANALYZE
+// is its only caller with timing on, so plain runs stay clock-free in
+// the row loops.
 func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, opts ExecOptions, sql string, timing bool) (*Result, opFrame, error) {
 	ec := &execCtx{db: db, parallelism: opts.Parallelism, sql: sql,
 		acct:  newAccountant(opts.MaxMemoryBytes, opts.MaxRows),
@@ -229,15 +235,6 @@ func (db *DB) runCompiledFrame(ctx context.Context, cs *compiledStmt, opts ExecO
 	cs.feedback.Store(&frame)
 	res.PeakMemBytes = ec.acct.peakBytes()
 	return res, ec.stats, nil
-}
-
-// RunSQL parses and runs a statement given as text.
-func (db *DB) RunSQL(src string) (*Result, error) {
-	st, err := sqlast.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.Run(st)
 }
 
 // runUnion executes a compiled UNION: branches run in order (each

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/sqlast"
 )
 
 // q6Rows synthesizes ORDER BY key vectors shaped like Q6's
@@ -53,13 +55,13 @@ func BenchmarkSortRowsGeneric(b *testing.B) {
 // against the multi-morsel synthetic database.
 func BenchmarkDistinctOrderByQuery(b *testing.B) {
 	db := bigDB(b)
-	p, err := db.Prepare("SELECT DISTINCT i.text, i.path_id FROM item i ORDER BY i.text, i.path_id")
+	st, err := sqlast.Parse("SELECT DISTINCT i.text, i.path_id FROM item i ORDER BY i.text, i.path_id")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(); err != nil {
+		if _, err := db.RunWithOptions(st, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

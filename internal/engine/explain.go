@@ -14,26 +14,22 @@ import (
 // operator times are inclusive of nested operators, like the
 // indentation of the rendered tree).
 
-// ExplainAnalyze executes the statement with default options and
-// returns the annotated plan.
-func (db *DB) ExplainAnalyze(st sqlast.Statement) (string, error) {
-	return db.ExplainAnalyzeWithOptions(st, ExecOptions{})
-}
-
 // ExplainAnalyzeWithOptions executes the statement with the given
 // options (so parallel plans report their merged per-worker stats)
 // and returns the annotated plan.
-func (db *DB) ExplainAnalyzeWithOptions(st sqlast.Statement, opts ExecOptions) (string, error) {
-	return db.explainAnalyzeContext(nil, st, opts)
-}
-
-func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, opts ExecOptions) (out string, err error) {
+func (db *DB) ExplainAnalyzeWithOptions(st sqlast.Statement, opts ExecOptions) (out string, err error) {
 	key := sqlast.Render(st)
 	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+	cs, err := db.compile(st, key, opts)
 	if err != nil {
 		return "", err
 	}
+	return db.explainAnalyze(nil, cs, opts, key)
+}
+
+// explainAnalyze runs a compiled statement with operator timing on and
+// renders its annotated plan. Callers must have deferred guardPanics.
+func (db *DB) explainAnalyze(ctx context.Context, cs *compiledStmt, opts ExecOptions, key string) (string, error) {
 	res, frame, err := db.runCompiledFrame(ctx, cs, opts, key, true)
 	if err != nil {
 		return "", err
@@ -44,19 +40,19 @@ func (db *DB) explainAnalyzeContext(ctx context.Context, st sqlast.Statement, op
 	return b.String(), nil
 }
 
-// runExplainStmt executes an EXPLAIN / EXPLAIN ANALYZE statement,
-// returning the rendered plan as a one-column result (one row per
-// plan line) so the statement flows through every Run/Exec surface.
-func (db *DB) runExplainStmt(ctx context.Context, ex *sqlast.Explain, opts ExecOptions) (*Result, error) {
-	var text string
-	var err error
-	if ex.Analyze {
-		text, err = db.explainAnalyzeContext(ctx, ex.Stmt, opts)
+// explainResult answers an EXPLAIN [ANALYZE] statement whose wrapped
+// statement compiled to cs, returning the rendered plan as a
+// one-column result (one row per plan line). Callers must have
+// deferred guardPanics.
+func (db *DB) explainResult(ctx context.Context, analyze bool, cs *compiledStmt, opts ExecOptions, key string) (*Result, error) {
+	text := ""
+	if analyze {
+		var err error
+		if text, err = db.explainAnalyze(ctx, cs, opts, key); err != nil {
+			return nil, err
+		}
 	} else {
-		text, err = db.Explain(ex.Stmt)
-	}
-	if err != nil {
-		return nil, err
+		text = renderCompiled(cs, nil)
 	}
 	res := &Result{Cols: []string{"plan"}}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
@@ -94,7 +90,7 @@ type OpReport struct {
 func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) (reports []OpReport, res *Result, err error) {
 	key := sqlast.Render(st)
 	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+	cs, err := db.compile(st, key, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,7 +116,7 @@ func (db *DB) AnalyzeReport(st sqlast.Statement, opts ExecOptions) (reports []Op
 func (db *DB) OperatorCount(st sqlast.Statement) (n int, err error) {
 	key := sqlast.Render(st)
 	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+	cs, err := db.compile(st, key, ExecOptions{})
 	if err != nil {
 		return 0, err
 	}

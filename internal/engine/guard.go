@@ -9,12 +9,15 @@ import (
 // This file is the engine's designated panic boundary: guardPanics
 // below contains the package's only recover() call (enforced by the
 // recoverguard analyzer in internal/analysis). Every statement entry
-// point — RunWithOptionsContext, Prepared execution, and each morsel
-// worker goroutine — defers it, so an internal panic in planning or
-// execution surfaces to the caller as a typed *InternalError instead
-// of crashing a serving process. Nothing else in the engine may
-// recover: swallowing a panic anywhere but the statement boundary
-// would hide corruption mid-pipeline.
+// point of DB — RunWithOptionsContext (which RunWithOptions calls),
+// Explain, ExplainAnalyzeWithOptions, AnalyzeReport, OperatorCount and
+// PlanShape — and each morsel worker goroutine defers it exactly once,
+// so an internal panic in planning or execution surfaces to the caller
+// as a typed *InternalError instead of crashing a serving process.
+// Writes (CREATE TABLE/INDEX, INSERT) are dispatched before the guard
+// on purpose: a panic while mutating the database is fail-stop.
+// Nothing else in the engine may recover: swallowing a panic anywhere
+// but the statement boundary would hide corruption mid-pipeline.
 
 // ErrInternal is the sentinel matched by errors.Is for panics
 // converted at the statement boundary.

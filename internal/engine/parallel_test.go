@@ -96,7 +96,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := db.Run(st)
+		want, err := db.RunWithOptions(st, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: serial: %v", q, err)
 		}
@@ -125,7 +125,7 @@ func TestParallelSmallTableFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := db.Run(st)
+		want, err := db.RunWithOptions(st, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

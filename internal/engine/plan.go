@@ -938,7 +938,7 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 func (db *DB) Explain(st sqlast.Statement) (out string, err error) {
 	key := sqlast.Render(st)
 	defer guardPanics(key, &err)
-	cs, err := db.compiledFor(st, key)
+	cs, err := db.compile(st, key, ExecOptions{})
 	if err != nil {
 		return "", err
 	}

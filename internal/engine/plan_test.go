@@ -99,11 +99,11 @@ func TestPlanIndependence(t *testing.T) {
 		"SELECT a.id FROM n a, n b WHERE a.val = b.val AND a.id = 9 AND b.id <> 9 ORDER BY b.id",
 	}
 	for _, q := range queries {
-		ri, err := indexed.RunSQL(q)
+		ri, err := runSQL(indexed, q)
 		if err != nil {
 			t.Fatalf("%s (indexed): %v", q, err)
 		}
-		rb, err := bare.RunSQL(q)
+		rb, err := runSQL(bare, q)
 		if err != nil {
 			t.Fatalf("%s (bare): %v", q, err)
 		}
@@ -125,11 +125,11 @@ func TestPlanIndependenceRandomRanges(t *testing.T) {
 		q := fmt.Sprintf(
 			"SELECT b.id FROM n a, n b WHERE a.id = %d AND b.dewey_pos %s a.dewey_pos ORDER BY b.id",
 			anchor, op)
-		ri, err := indexed.RunSQL(q)
+		ri, err := runSQL(indexed, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		rb, err := bare.RunSQL(q)
+		rb, err := runSQL(bare, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -171,11 +171,11 @@ func TestCorrelationTwoLevels(t *testing.T) {
 	q := "SELECT a.id FROM n a WHERE EXISTS (" +
 		"SELECT NULL FROM n b WHERE b.par = a.id AND EXISTS (" +
 		"SELECT NULL FROM n c WHERE c.par = b.id AND c.val = a.val)) ORDER BY a.id"
-	ri, err := indexed.RunSQL(q)
+	ri, err := runSQL(indexed, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := bare.RunSQL(q)
+	rb, err := runSQL(bare, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestShadowingRejected(t *testing.T) {
 	db, _ := buildPair(t, 1, 10)
 	// Inner subselect reusing the outer's effective name must be an
 	// error (ambiguous correlation), not silent shadowing.
-	_, err := db.RunSQL("SELECT a.id FROM n a WHERE EXISTS (SELECT NULL FROM n a WHERE a.id = 1)")
+	_, err := runSQL(db, "SELECT a.id FROM n a WHERE EXISTS (SELECT NULL FROM n a WHERE a.id = 1)")
 	if err == nil {
 		t.Fatal("name shadowing should be rejected")
 	}

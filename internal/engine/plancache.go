@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,7 +17,8 @@ const planCacheCap = 256
 
 // compiledStmt is a fully planned statement (exactly one of sel/union
 // is set) plus the snapshot states of every table it was planned
-// against.
+// against. It is the engine's only handle on a plan, and it lives in
+// the plan cache rather than with callers.
 type compiledStmt struct {
 	sel    *selectPlan
 	union  *unionPlan
@@ -274,11 +274,8 @@ func (c *planCache) stats() (hits, misses uint64) {
 
 // compiledFor returns a compiled plan for st, consulting the DB's
 // plan cache. key is the canonical cache key (the sqlast rendering of
-// st); pass "" to have it computed here.
+// st).
 func (db *DB) compiledFor(st sqlast.Statement, key string) (*compiledStmt, error) {
-	if key == "" {
-		key = sqlast.Render(st)
-	}
 	if cs := db.plans.get(key, db.loadSnap()); cs != nil {
 		if next := db.maybeReplan(st, key, cs); next != nil {
 			return next, nil
@@ -401,59 +398,3 @@ func (db *DB) PlanCacheSize() int { return db.plans.size() }
 // Lookups that find an entry invalidated by a table mutation count as
 // misses.
 func (db *DB) PlanCacheStats() (hits, misses uint64) { return db.plans.stats() }
-
-// Prepared is a parsed statement bound to a DB for repeated
-// execution. Its plan lives in the DB's plan cache: re-running reuses
-// the cached plan until a touched table is mutated, after which the
-// next run transparently re-plans.
-type Prepared struct {
-	db  *DB
-	st  sqlast.Statement
-	key string
-}
-
-// Prepare parses a SELECT/UNION statement for repeated execution.
-func (db *DB) Prepare(src string) (*Prepared, error) {
-	st, err := sqlast.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.PrepareStmt(st), nil
-}
-
-// PrepareStmt binds an already-parsed statement for repeated
-// execution.
-func (db *DB) PrepareStmt(st sqlast.Statement) *Prepared {
-	return &Prepared{db: db, st: st, key: sqlast.Render(st)}
-}
-
-// Run executes the prepared statement with default options.
-func (p *Prepared) Run() (*Result, error) { return p.RunWithOptions(ExecOptions{}) }
-
-// RunWithOptions executes the prepared statement.
-func (p *Prepared) RunWithOptions(opts ExecOptions) (*Result, error) {
-	return p.RunWithOptionsContext(nil, opts)
-}
-
-// RunContext executes the prepared statement honoring cancellation.
-func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
-	return p.RunWithOptionsContext(ctx, ExecOptions{})
-}
-
-// RunWithOptionsContext executes the prepared statement with options,
-// honoring ctx cancellation (nil means no context). Like
-// DB.RunWithOptionsContext it is a statement boundary: internal
-// panics return as *InternalError.
-func (p *Prepared) RunWithOptionsContext(ctx context.Context, opts ExecOptions) (res *Result, err error) {
-	defer guardPanics(p.key, &err)
-	cs, err := p.db.compiledFor(p.st, p.key)
-	if err != nil {
-		return nil, err
-	}
-	if opts.VerifyPlan {
-		if err := verifyCompiled(p.st, p.key, cs); err != nil {
-			return nil, err
-		}
-	}
-	return p.db.runCompiled(ctx, cs, opts, p.key)
-}

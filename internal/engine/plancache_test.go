@@ -140,40 +140,45 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 }
 
-func TestPrepare(t *testing.T) {
+// TestReplanAfterMutation checks that a statement run repeatedly is
+// served from its cached plan, under different execution options, and
+// stays correct once a mutation of its table invalidates that plan.
+func TestReplanAfterMutation(t *testing.T) {
 	db := fixtureDB(t)
-	p, err := db.Prepare("SELECT F.id FROM F ORDER BY F.id")
+	st, err := sqlast.Parse("SELECT F.id FROM F ORDER BY F.id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Run()
+	want, err := db.RunWithOptions(st, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got *Result
 	hits, misses := statsDelta(db, func() {
-		got, err = p.RunWithOptions(ExecOptions{Parallelism: 4})
+		got, err = db.RunWithOptions(st, ExecOptions{Parallelism: 4})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits != 1 || misses != 0 {
-		t.Errorf("prepared re-run: hits=%d misses=%d, want 1/0", hits, misses)
+		t.Errorf("re-run: hits=%d misses=%d, want 1/0", hits, misses)
 	}
 	if !equalResults(want, got) {
-		t.Fatal("prepared re-run returned different rows")
+		t.Fatal("re-run returned different rows")
 	}
-	// A prepared statement stays correct across invalidation.
 	db.Table("F").MustInsert(NewInt(300), NewInt(6), NewBytes(dewey.New(1, 1, 2, 1, 11)), NewInt(6), NewText("z"))
-	res, err := p.Run()
+	var res *Result
+	hits, misses = statsDelta(db, func() {
+		res, err = db.RunWithOptions(st, ExecOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if hits != 0 || misses != 1 {
+		t.Errorf("run after insert: hits=%d misses=%d, want 0/1 (re-plan)", hits, misses)
+	}
 	if len(res.Rows) != len(want.Rows)+1 {
 		t.Fatalf("rows after insert = %d, want %d", len(res.Rows), len(want.Rows)+1)
-	}
-	if _, err := db.Prepare("SELECT bogus FROM"); err == nil {
-		t.Error("Prepare accepted malformed SQL")
 	}
 }
 

@@ -226,9 +226,10 @@ func verifyCompiled(st sqlast.Statement, key string, cs *compiledStmt) error {
 
 // PlanShape compiles the statement (through the plan cache) and
 // returns the decompiled shape of the plan that would execute.
-func (db *DB) PlanShape(st sqlast.Statement) (*StmtShape, error) {
+func (db *DB) PlanShape(st sqlast.Statement) (sh *StmtShape, err error) {
 	key := sqlast.Render(st)
-	cs, err := db.compiledFor(st, key)
+	defer guardPanics(key, &err)
+	cs, err := db.compile(st, key, ExecOptions{})
 	if err != nil {
 		return nil, err
 	}

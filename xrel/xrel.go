@@ -22,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/schema"
 	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/xmltree"
 	"repro/internal/xpath"
 )
@@ -249,7 +250,11 @@ func (s *Store) QueryContext(ctx context.Context, query string) (*Result, error)
 // returning column names and stringified rows. It exposes the
 // embedded engine for inspection and tooling.
 func (s *Store) RunSQL(sql string) (cols []string, rows [][]string, err error) {
-	res, err := s.shred.DB.ExecSQLWithOptions(sql, s.execOpts())
+	st, err := sqlast.Parse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := s.shred.DB.RunWithOptions(st, s.execOpts())
 	if err != nil {
 		return nil, nil, err
 	}
