@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/bench"
+	"repro/internal/schema"
 )
 
 // CheckMatrix certificate-checks a seeded randomized query matrix: n
@@ -24,7 +24,7 @@ func CheckMatrix(n int, seed int64) ([]Finding, Stats, error) {
 	defer om.install()()
 	for _, w := range ws {
 		tfs := translators(w)
-		gen := newQueryGen(w, rand.New(rand.NewSource(seed)))
+		gen := newQueryGen(w.Schema, rand.New(rand.NewSource(seed)))
 		for i := 0; i < n; i++ {
 			q := gen.next()
 			stats.Queries++
@@ -49,10 +49,10 @@ type queryGen struct {
 	attrs []string
 }
 
-func newQueryGen(w *bench.Workload, r *rand.Rand) *queryGen {
+func newQueryGen(s *schema.Schema, r *rand.Rand) *queryGen {
 	g := &queryGen{r: r}
 	seen := map[string]bool{}
-	for _, n := range w.Schema.Nodes() {
+	for _, n := range s.Nodes() {
 		g.names = append(g.names, n.Name)
 		for _, a := range n.Attrs {
 			if !seen[a] {
