@@ -10,7 +10,7 @@ import (
 	"repro/internal/shred"
 )
 
-func setupEdge(t testing.TB) (*EdgeTranslator, *shred.EdgeStore, *native.Evaluator) {
+func setupEdge(t testing.TB) (*Translator, *shred.EdgeStore, *native.Evaluator) {
 	t.Helper()
 	st, err := shred.NewEdge()
 	if err != nil {
@@ -23,7 +23,7 @@ func setupEdge(t testing.TB) (*EdgeTranslator, *shred.EdgeStore, *native.Evaluat
 	return NewEdge(nil), st, native.New(doc)
 }
 
-func checkEdge(t *testing.T, tr *EdgeTranslator, st *shred.EdgeStore, ev *native.Evaluator, q string) {
+func checkEdge(t *testing.T, tr *Translator, st *shred.EdgeStore, ev *native.Evaluator, q string) {
 	t.Helper()
 	trans, err := tr.Translate(q)
 	if err != nil {

@@ -22,6 +22,8 @@ func TestPredicateVariantsAgainstOracle(t *testing.T) {
 		"/A/B['a' != 'b']",
 		"/A/B[4 mod 3 = 1]",
 		"/A/B[6 div 2 = 3]",
+		"/A/B[2 > 3 or C]",
+		"/A/B[C and 1 = 2]",
 		// arithmetic with the constant on the left of the path.
 		"//F[10 - . = 8]",
 		"//F[14 div . = 2]",
@@ -86,8 +88,9 @@ func TestJoinClauseVariants(t *testing.T) {
 		"//B[C/D = C/E/F]",
 		"//B[C/D != C/E/F]",
 		"//E[F = /A/B/C/D]",
-		"//C[. = D]", // self vs child path
-		"//C[D = .]", // flipped
+		"//C[. = D]",    // self vs child path
+		"//C[D = .]",    // flipped
+		"//C[D/@x = D]", // attribute terminal on one side
 	} {
 		check(t, tr, st, ev, q)
 		checkEdge(t, trE, stE, ev, q)

@@ -3,10 +3,10 @@ package core
 import "repro/internal/xpath"
 
 // This file is transcheck's window into the Table 1 construction: the
-// derivation functions stay unexported (translate.go and edge.go are
-// their only production callers), but the static translation validator
-// needs to drive them over a synthetic axis/shape matrix in addition
-// to observing real translations through SetPatternTrace.
+// derivation functions stay unexported (translate.go and predicates.go
+// are their only production callers), but the static translation
+// validator needs to drive them over a synthetic axis/shape matrix in
+// addition to observing real translations through SetPatternTrace.
 
 // DeriveForwardPattern derives the Table 1 regex for a forward
 // fragment (child/descendant/descendant-or-self steps).
