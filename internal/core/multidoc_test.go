@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/native"
 	"repro/internal/shred"
 	"repro/internal/sqlast"
+	"repro/internal/xmark"
 	"repro/internal/xmltree"
 )
 
@@ -129,4 +132,86 @@ func runSQL(db *engine.DB, sql string) (*engine.Result, error) {
 		return nil, err
 	}
 	return db.RunWithOptions(st, engine.ExecOptions{})
+}
+
+// TestMultiDocHorizontalAxes loads two XMark documents into each
+// mapping and checks that following:: and preceding:: stay inside the
+// context node's document: every answer must be the union of the
+// per-document oracle answers.
+func TestMultiDocHorizontalAxes(t *testing.T) {
+	docs := []*xmltree.Document{
+		xmark.MustGenerate(xmark.Config{Scale: 0.005, Seed: 1}),
+		xmark.MustGenerate(xmark.Config{Scale: 0.005, Seed: 2}),
+	}
+	aware, err := shred.NewSchemaAware(xmark.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, err := shred.NewEdge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]int64{}
+	queries := []string{
+		"/site/regions/*/item[@id='item0']/following::item",
+		"/site/regions/*/item[@id='item3']/preceding::item",
+		"//open_auction[@id='open_auction1']/preceding::bidder",
+	}
+	// Both loaders number a document's elements after the previous
+	// document's largest element id.
+	var base int64
+	for _, doc := range docs {
+		var last int64
+		if _, err := aware.Load(doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := edge.Load(doc); err != nil {
+			t.Fatal(err)
+		}
+		ev := native.New(doc)
+		for _, q := range queries {
+			ids, err := ev.ElementIDs(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) == 0 {
+				t.Fatalf("%s selects nothing in a single document", q)
+			}
+			for _, id := range ids {
+				want[q] = append(want[q], base+id)
+			}
+		}
+		for _, n := range doc.Nodes() {
+			if n.Kind == xmltree.Element && n.ID > last {
+				last = n.ID
+			}
+		}
+		base += last
+	}
+	for _, sys := range []struct {
+		name      string
+		translate func(string) (*Translation, error)
+		db        *engine.DB
+	}{
+		{"schema", New(xmark.Schema(), nil).Translate, aware.DB},
+		{"edge", NewEdge(nil).Translate, edge.DB},
+	} {
+		for _, q := range queries {
+			trans, err := sys.translate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.db.RunWithOptions(trans.Stmt, engine.ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]int64, 0, len(res.Rows))
+			for _, r := range res.Rows {
+				got = append(got, r[0].I)
+			}
+			if !reflect.DeepEqual(got, want[q]) {
+				t.Errorf("%s %s: got %d ids, want %d (the per-document answers)", sys.name, q, len(got), len(want[q]))
+			}
+		}
+	}
 }

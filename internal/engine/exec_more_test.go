@@ -81,6 +81,18 @@ func TestSubstrFunction(t *testing.T) {
 	if _, err := runSQL(db, "SELECT SUBSTR(A.id, 'x') FROM A"); err == nil {
 		t.Fatal("non-integer SUBSTR position should fail")
 	}
+	// The length form, on text and on bytes (which stay bytes).
+	res = mustRun(t, db, "SELECT SUBSTR('abcdef', 2, 3), SUBSTR('abc', 0, 2), SUBSTR('abc', 2, 9), SUBSTR(X'0A0B0C0D', 1, 3) FROM A")
+	r = res.Rows[0]
+	if r[0].S != "bcd" || r[1].S != "a" || r[2].S != "bc" || r[3].Kind != KBytes || string(r[3].B) != "\x0a\x0b\x0c" {
+		t.Fatalf("SUBSTR length form = %v", r)
+	}
+	if _, err := runSQL(db, "SELECT SUBSTR('abc', 1, 0 - 1) FROM A"); err == nil {
+		t.Fatal("negative SUBSTR length should fail")
+	}
+	if _, err := runSQL(db, "SELECT SUBSTR('abc', 1, 2, 3) FROM A"); err == nil {
+		t.Fatal("SUBSTR with four arguments should fail")
+	}
 }
 
 func TestDynamicRegexpPattern(t *testing.T) {

@@ -888,6 +888,9 @@ func (p *planner) compile(e sqlast.Expr, sc *scope) (cexpr, error) {
 		if !known {
 			return nil, fmt.Errorf("engine: unknown function %q", x.Name)
 		}
+		if name == "SUBSTR" && len(x.Args) == 3 {
+			n = 3 // SUBSTR(s, start, length)
+		}
 		if len(x.Args) != n {
 			return nil, fmt.Errorf("engine: %s takes %d argument(s)", name, n)
 		}
