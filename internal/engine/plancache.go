@@ -286,7 +286,6 @@ func (db *DB) compiledFor(st sqlast.Statement, key string) (*compiledStmt, error
 	if err != nil {
 		return nil, err
 	}
-	traceCompiled(st, key, cs)
 	if err := failpoint.Inject("engine/plancache-insert"); err != nil {
 		return nil, err
 	}
@@ -386,7 +385,6 @@ func (db *DB) maybeReplan(st sqlast.Statement, key string, cs *compiledStmt) *co
 	}
 	next.replans = cs.replans + 1
 	db.replanCount.Add(1)
-	traceCompiled(st, key, next)
 	db.plans.put(key, next, db.loadSnap())
 	return next
 }

@@ -159,29 +159,19 @@ type StmtShape struct {
 	Union  *UnionShape
 }
 
-// PlanTrace is delivered to the plan-trace observer (and the plan
-// verifier) once per fresh statement compilation.
+// PlanTrace is what the plan verifier (SetPlanVerifier) checks: one
+// compiled statement with its decompiled plan.
 type PlanTrace struct {
 	// SQL is the plan-cache key (the canonical rendering of Stmt).
 	SQL string
 	// Stmt is the statement that was compiled.
 	Stmt sqlast.Statement
-	// Shape is the decompiled plan; nil when extraction failed.
+	// Shape is the decompiled plan. An extraction failure never
+	// reaches the verifier: it fails the statement instead, being
+	// itself a defect (the compiled plan contains something the
+	// decompiler cannot explain).
 	Shape *StmtShape
-	// Err reports a shape-extraction failure ("" on success). An
-	// extraction failure is itself a checkable defect: the compiled
-	// plan contains something the decompiler cannot explain.
-	Err string
 }
-
-// planTrace, when non-nil, observes every fresh compilation.
-var planTrace func(PlanTrace)
-
-// SetPlanTrace installs (or, with nil, removes) the compilation
-// observer. Like core.SetPatternTrace it is not safe for use
-// concurrently with statement execution; the intended caller is
-// plancheck's single-threaded sweep.
-func SetPlanTrace(fn func(PlanTrace)) { planTrace = fn }
 
 // planVerifier, when non-nil, is consulted by executions that request
 // ExecOptions.VerifyPlan.
@@ -192,21 +182,6 @@ var planVerifier func(PlanTrace) error
 // running statements; installation is not synchronized with running
 // queries.
 func SetPlanVerifier(fn func(PlanTrace) error) { planVerifier = fn }
-
-// traceCompiled fires the plan trace for a fresh compilation.
-func traceCompiled(st sqlast.Statement, key string, cs *compiledStmt) {
-	if planTrace == nil {
-		return
-	}
-	tr := PlanTrace{SQL: key, Stmt: st}
-	sh, err := shapeStmt(cs, key)
-	if err != nil {
-		tr.Err = err.Error()
-	} else {
-		tr.Shape = sh
-	}
-	planTrace(tr)
-}
 
 // verifyCompiled runs the installed plan verifier against a compiled
 // statement (cached or fresh), for ExecOptions.VerifyPlan.
