@@ -104,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeweyDecode -fuzztime=10s ./internal/dewey/
 	$(GO) test -fuzz=FuzzPathPattern -fuzztime=10s ./internal/pathre/
 	$(GO) test -fuzz=FuzzPathDFA -fuzztime=10s ./internal/pathre/
+	$(GO) test -fuzz=FuzzTranslate -fuzztime=10s ./internal/core/
 
 # bench-smoke runs a tiny Figure 3 pass in both execution modes
 # (serial, then morsel-parallel) with oracle verification on: a fast

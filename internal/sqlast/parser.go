@@ -129,7 +129,10 @@ func lexSQL(src string) ([]sqlToken, error) {
 				j++
 			}
 			word := src[i:j]
-			if up := strings.ToUpper(word); sqlKeywords[up] {
+			// A word next to a '.' is part of a qualified column, so
+			// it names a relation or column even if it is a keyword.
+			qualified := (i > 0 && src[i-1] == '.') || (j < len(src) && src[j] == '.')
+			if up := strings.ToUpper(word); sqlKeywords[up] && !qualified {
 				toks = append(toks, sqlToken{sqlKeyword, up, i})
 			} else {
 				toks = append(toks, sqlToken{sqlIdent, word, i})
@@ -160,6 +163,7 @@ func isSQLIdentChar(c byte) bool {
 }
 
 type sqlParser struct {
+	src  string
 	toks []sqlToken
 	pos  int
 }
@@ -169,7 +173,7 @@ func newSQLParser(src string) (*sqlParser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &sqlParser{toks: toks}, nil
+	return &sqlParser{src: src, toks: toks}, nil
 }
 
 func (p *sqlParser) peek() sqlToken { return p.toks[p.pos] }
@@ -300,11 +304,16 @@ func (p *sqlParser) parseSelect() (*Select, error) {
 		return nil, err
 	}
 	for {
+		// No keyword can start a FROM entry, so one here is a relation
+		// named like a keyword (an XML element such as <from>).
 		t := p.next()
-		if t.kind != sqlIdent {
+		if t.kind != sqlIdent && t.kind != sqlKeyword {
 			return nil, fmt.Errorf("sqlast: expected table name, found %q", t.text)
 		}
 		ref := TableRef{Table: t.text}
+		if t.kind == sqlKeyword {
+			ref.Table = p.src[t.pos : t.pos+len(t.text)]
+		}
 		if p.peek().kind == sqlIdent {
 			ref.Alias = p.next().text
 		}

@@ -60,6 +60,9 @@ func TestParseRenderRoundTrip(t *testing.T) {
 		"SELECT NULL FROM t",
 		"SELECT a FROM t WHERE f = 1.5",
 		"SELECT a FROM t WHERE a = -3",
+		// Relations and columns named like keywords (XML elements
+		// such as <from> or <order>).
+		"SELECT from.id FROM from, order, paths from_paths WHERE from.path_id = from_paths.id AND order.from = from.id",
 	}
 	for _, src := range statements {
 		st, err := Parse(src)
