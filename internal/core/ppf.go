@@ -127,21 +127,23 @@ func checkPredicateOrder(s *xpath.Step) error {
 	return nil
 }
 
-// allChild reports whether every step of a fragment is a child step
-// (the fragment spans an exact number of levels).
-func allChild(f *ppf) bool {
+// exactDepth reports whether a fragment spans an exact number of
+// levels (every step child, or every step parent).
+func exactDepth(f *ppf) bool {
 	for _, s := range f.steps {
-		if s.Axis != xpath.Child {
+		if s.Axis != xpath.Child && s.Axis != xpath.Parent {
 			return false
 		}
 	}
 	return true
 }
 
-// allParent reports whether every step is a parent step.
-func allParent(f *ppf) bool {
+// inclusive reports whether a vertical fragment can select the context
+// node itself (every step descendant-or-self, or every step
+// ancestor-or-self).
+func inclusive(f *ppf) bool {
 	for _, s := range f.steps {
-		if s.Axis != xpath.Parent {
+		if s.Axis != xpath.DescendantOrSelf && s.Axis != xpath.AncestorOrSelf {
 			return false
 		}
 	}
